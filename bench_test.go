@@ -423,28 +423,33 @@ func BenchmarkScenarioDispatch(b *testing.B) {
 // BenchmarkDispatchCycle runs one hour of full engine batch cycles —
 // order admission, candidate pruning, batched pickup costing, IRG
 // assignment, commitment — over a 28K-order day at 200 drivers, under
-// both the closed-form and the road-network coster.
+// both the closed-form and the road-network coster. Every iteration is
+// cold: it builds a fresh coster, as BenchmarkBatchCosts does, so the
+// road network's tree cache starts empty and ns/op and allocs/op do not
+// depend on -benchtime.
 func BenchmarkDispatchCycle(b *testing.B) {
 	city := workload.NewCity(workload.CityConfig{OrdersPerDay: 28000, Seed: 31})
 	rng := rand.New(rand.NewSource(3))
 	orders := city.GenerateDay(0, rng)
 	starts := city.InitialDrivers(200, orders, rng)
 
-	run := func(b *testing.B, coster roadnet.Coster) {
+	run := func(b *testing.B, newCoster func() roadnet.Coster) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			cfg := sim.Config{Grid: city.Grid(), Coster: coster, Delta: 3, TC: 1200, Horizon: 3600}
+			cfg := sim.Config{Grid: city.Grid(), Coster: newCoster(), Delta: 3, TC: 1200, Horizon: 3600}
 			e := sim.New(cfg, orders, starts)
 			if _, err := e.Run(context.Background(), &dispatch.IRG{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	b.Run("GreatCircle", func(b *testing.B) { run(b, nil) })
+	b.Run("GreatCircle", func(b *testing.B) {
+		run(b, func() roadnet.Coster { return nil })
+	})
 	b.Run("RoadNetwork", func(b *testing.B) {
 		g := roadnet.GenerateGridNetwork(roadnet.GridNetworkConfig{Seed: 1})
-		run(b, roadnet.NewGraphCoster(g))
+		run(b, func() roadnet.Coster { return roadnet.NewGraphCoster(g) })
 	})
 }
 

@@ -3,6 +3,7 @@ package geo
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // RegionID identifies one cell of a Grid. IDs are dense in
@@ -123,8 +124,15 @@ func (g *Grid) Neighbors(id RegionID) []RegionID {
 // circle of the given radius (meters) around p, including p's own region.
 // The dispatcher uses it to bound candidate-driver search.
 func (g *Grid) RegionsWithin(p Point, radiusMeters float64) []RegionID {
+	return g.AppendRegionsWithin(nil, p, radiusMeters)
+}
+
+// AppendRegionsWithin appends RegionsWithin(p, radiusMeters) to dst and
+// returns the extended slice, so hot-path callers can scan regions from
+// a reused buffer without allocating.
+func (g *Grid) AppendRegionsWithin(dst []RegionID, p Point, radiusMeters float64) []RegionID {
 	if radiusMeters < 0 {
-		return nil
+		return dst
 	}
 	// Convert the radius into degree spans at p's latitude.
 	latSpan := radiusMeters / EarthRadiusMeters * 180 / math.Pi
@@ -150,11 +158,11 @@ func (g *Grid) RegionsWithin(p Point, radiusMeters float64) []RegionID {
 	if maxRow >= g.rows {
 		maxRow = g.rows - 1
 	}
-	out := make([]RegionID, 0, (maxRow-minRow+1)*(maxCol-minCol+1))
+	dst = slices.Grow(dst, (maxRow-minRow+1)*(maxCol-minCol+1))
 	for row := minRow; row <= maxRow; row++ {
 		for col := minCol; col <= maxCol; col++ {
-			out = append(out, RegionID(row*g.cols+col))
+			dst = append(dst, RegionID(row*g.cols+col))
 		}
 	}
-	return out
+	return dst
 }

@@ -152,6 +152,36 @@ func TestGridRegionsWithinOutsidePoint(t *testing.T) {
 	}
 }
 
+// TestGridAppendRegionsWithin pins the append form to RegionsWithin:
+// it extends dst with exactly RegionsWithin's regions, leaves the prefix
+// untouched, and allocates nothing when dst has room.
+func TestGridAppendRegionsWithin(t *testing.T) {
+	g := NewNYCGrid()
+	rng := rand.New(rand.NewSource(4))
+	buf := make([]RegionID, 0, g.NumRegions()+1)
+	for i := 0; i < 200; i++ {
+		p := Point{
+			Lng: NYCBBox.MinLng - 0.05 + rng.Float64()*(NYCBBox.MaxLng-NYCBBox.MinLng+0.1),
+			Lat: NYCBBox.MinLat - 0.05 + rng.Float64()*(NYCBBox.MaxLat-NYCBBox.MinLat+0.1),
+		}
+		radius := rng.Float64()*20000 - 1000 // some negative
+		want := g.RegionsWithin(p, radius)
+		got := g.AppendRegionsWithin(append(buf[:0], -7), p, radius)
+		if got[0] != -7 || len(got) != len(want)+1 {
+			t.Fatalf("p=%v r=%v: appended %v, want prefix -7 then %v", p, radius, got, want)
+		}
+		for k, r := range want {
+			if got[k+1] != r {
+				t.Fatalf("p=%v r=%v: appended %v, want prefix -7 then %v", p, radius, got, want)
+			}
+		}
+	}
+	p := NYCBBox.Center()
+	if a := testing.AllocsPerRun(20, func() { g.AppendRegionsWithin(buf[:0], p, 3000) }); a != 0 {
+		t.Errorf("AppendRegionsWithin into a large enough buffer made %v allocations", a)
+	}
+}
+
 func TestNewGridPanics(t *testing.T) {
 	assertPanics := func(name string, f func()) {
 		defer func() {

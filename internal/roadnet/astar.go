@@ -1,7 +1,6 @@
 package roadnet
 
 import (
-	"container/heap"
 	"math"
 
 	"mrvd/internal/geo"
@@ -33,10 +32,11 @@ func (g *Graph) AStar(src, dst NodeID) (float64, bool) {
 		dist[i] = math.Inf(1)
 	}
 	dist[src] = 0
-	pq := priorityQueue{{node: src, dist: h(src)}}
+	pq := getQueue(src, h(src))
+	defer queuePool.Put(pq)
 	closed := make([]bool, g.NumNodes())
-	for len(pq) > 0 {
-		item := heap.Pop(&pq).(pqItem)
+	for len(*pq) > 0 {
+		item := pq.pop()
 		v := item.node
 		if closed[v] {
 			continue
@@ -49,7 +49,7 @@ func (g *Graph) AStar(src, dst NodeID) (float64, bool) {
 			nd := dist[v] + e.cost
 			if nd < dist[e.to] {
 				dist[e.to] = nd
-				heap.Push(&pq, pqItem{node: e.to, dist: nd + h(e.to)})
+				pq.push(pqItem{node: e.to, dist: nd + h(e.to)})
 			}
 		}
 	}

@@ -179,45 +179,50 @@ func (c *GraphCoster) ResetStats() {
 // cached tree that proves insufficient is recomputed as a full tree —
 // the source is demonstrably hot, so one full expansion buys every
 // future batch a guaranteed hit.
+//
+// The call's working set is reused across calls (see costsScratch), so
+// a batch served entirely from cached trees allocates only the returned
+// matrix.
 func (c *GraphCoster) Costs(sources, targets []geo.Point) [][]float64 {
 	nT := len(targets)
 	out := newCostMatrix(len(sources), nT)
 	if len(sources) == 0 || nT == 0 {
 		return out
 	}
+	s := c.getScratch(len(sources), nT)
+	defer c.putScratch(s)
 
 	// Snap all endpoints once.
-	srcNode := make([]NodeID, len(sources))
-	srcApproach := make([]float64, len(sources))
+	srcNode, srcApproach := s.srcNode, s.srcApproach
 	for i, p := range sources {
 		srcNode[i], srcApproach[i] = c.snap.nearest(p)
 	}
-	tgtNode := make([]NodeID, nT)
-	tgtApproach := make([]float64, nT)
-	needed := make([]bool, c.g.NumNodes())
-	var tgtUniq []NodeID
+	tgtNode, tgtApproach := s.tgtNode, s.tgtApproach
+	needed := s.needed
 	for j, p := range targets {
 		tgtNode[j], tgtApproach[j] = c.snap.nearest(p)
 		if n := tgtNode[j]; n != InvalidNode && !needed[n] {
 			needed[n] = true
-			tgtUniq = append(tgtUniq, n)
+			s.tgtUniq = append(s.tgtUniq, n)
 		}
 	}
+	tgtUniq := s.tgtUniq
 	uniqueTargets := len(tgtUniq)
 
 	// Deduplicate source nodes in first-appearance order: co-located
-	// drivers share one Dijkstra.
-	rowOf := make(map[NodeID]int, len(sources))
-	var uniq []NodeID
+	// drivers share one Dijkstra. rowOf holds 1 + the row in uniq, so
+	// its zero value means "not seen".
+	rowOf := s.rowOf
 	for _, n := range srcNode {
 		if n == InvalidNode {
 			continue
 		}
-		if _, ok := rowOf[n]; !ok {
-			rowOf[n] = len(uniq)
-			uniq = append(uniq, n)
+		if rowOf[n] == 0 {
+			s.uniq = append(s.uniq, n)
+			rowOf[n] = int32(len(s.uniq))
 		}
 	}
+	uniq := s.uniq
 
 	// covered reports whether a cached tree's horizon reaches every
 	// unique target node of this batch: only then are its values final
@@ -235,22 +240,23 @@ func (c *GraphCoster) Costs(sources, targets []geo.Point) [][]float64 {
 	// First lock acquisition: serve sources from cached trees — full
 	// ones from single-pair queries, or earlier batches' partial trees
 	// whose horizon covers this batch's targets.
-	trees := make([][]float64, len(uniq))
-	horizons := make([]float64, len(uniq))
-	var missing []int
-	promote := make(map[int]bool)
+	s.trees = resize(s.trees, len(uniq))
+	s.horizons = resize(s.horizons, len(uniq))
+	s.promote = resize(s.promote, len(uniq))
+	trees, horizons, promote := s.trees, s.horizons, s.promote
 	c.mu.Lock()
 	for u, n := range uniq {
 		if t, hz, ok := c.cache.get(n); ok && covered(t, hz) {
 			trees[u] = t
 		} else {
-			missing = append(missing, u)
+			s.missing = append(s.missing, u)
 			// A cached-but-insufficient tree marks a hot source: spend
 			// one full expansion now so every future batch hits.
 			promote[u] = ok
 		}
 	}
 	c.mu.Unlock()
+	missing := s.missing
 	c.stats.cacheHits.Add(int64(len(uniq) - len(missing)))
 
 	// Dijkstras for the rest — truncated for first-seen sources, full
@@ -316,7 +322,7 @@ func (c *GraphCoster) Costs(sources, targets []geo.Point) [][]float64 {
 			}
 			continue
 		}
-		tree := trees[rowOf[srcNode[i]]]
+		tree := trees[rowOf[srcNode[i]]-1]
 		for j := 0; j < nT; j++ {
 			if tgtNode[j] == InvalidNode {
 				row[j] = math.Inf(1)
@@ -334,4 +340,74 @@ func (c *GraphCoster) Costs(sources, targets []geo.Point) [][]float64 {
 		}
 	}
 	return out
+}
+
+// costsScratch is the working set of one GraphCoster.Costs call. Each
+// coster keeps a free list of them — one per concurrent caller at most —
+// so a warm batch allocates only its result matrix.
+//
+// needed and rowOf are indexed by node; a call marks only the entries
+// of its own targets and sources, and putScratch clears exactly those,
+// so reuse costs O(batch), not O(graph).
+type costsScratch struct {
+	needed      []bool  // target-node mask handed to truncated Dijkstras
+	rowOf       []int32 // source node -> 1 + its row in uniq; 0 = unseen
+	srcNode     []NodeID
+	srcApproach []float64
+	tgtNode     []NodeID
+	tgtApproach []float64
+	tgtUniq     []NodeID // distinct target nodes, first-appearance order
+	uniq        []NodeID // distinct source nodes, first-appearance order
+	trees       [][]float64
+	horizons    []float64
+	promote     []bool
+	missing     []int
+}
+
+// getScratch takes a scratch set from the coster's free list (or makes
+// one), sized for a batch of nS sources and nT targets.
+func (c *GraphCoster) getScratch(nS, nT int) *costsScratch {
+	var s *costsScratch
+	c.spareMu.Lock()
+	if k := len(c.spare) - 1; k >= 0 {
+		s = c.spare[k]
+		c.spare = c.spare[:k]
+	}
+	c.spareMu.Unlock()
+	if s == nil {
+		n := c.g.NumNodes()
+		s = &costsScratch{needed: make([]bool, n), rowOf: make([]int32, n)}
+	}
+	s.srcNode = resize(s.srcNode, nS)
+	s.srcApproach = resize(s.srcApproach, nS)
+	s.tgtNode = resize(s.tgtNode, nT)
+	s.tgtApproach = resize(s.tgtApproach, nT)
+	return s
+}
+
+// putScratch resets the entries s's call touched and returns it to the
+// free list. Tree references are dropped so an idle scratch set never
+// keeps an evicted tree alive.
+func (c *GraphCoster) putScratch(s *costsScratch) {
+	for _, n := range s.tgtUniq {
+		s.needed[n] = false
+	}
+	for _, n := range s.uniq {
+		s.rowOf[n] = 0
+	}
+	clear(s.trees)
+	s.tgtUniq, s.uniq, s.missing = s.tgtUniq[:0], s.uniq[:0], s.missing[:0]
+	c.spareMu.Lock()
+	c.spare = append(c.spare, s)
+	c.spareMu.Unlock()
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. Reused entries keep stale values; callers overwrite
+// every entry they read.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -76,6 +76,12 @@ type GraphCoster struct {
 	snap  *snapIndex
 	mu    sync.Mutex
 	cache *treeCache
+	// spare holds idle Costs working sets (see costsScratch), guarded
+	// by spareMu. A plain free list rather than an embedded sync.Pool:
+	// the runtime's pool registry would keep the whole coster — tree
+	// cache included — reachable for two GC cycles after its last use.
+	spareMu sync.Mutex
+	spare   []*costsScratch
 	// CacheSize bounds the number of memoized shortest-path trees. Set
 	// it before the first query; the default is 512.
 	CacheSize int
@@ -269,9 +275,12 @@ func (s *snapIndex) nearest(p geo.Point) (NodeID, float64) {
 	best := InvalidNode
 	bestD := math.Inf(1)
 	// Expand search radius ring by ring; cell size bounds the guarantee.
+	// The region list lives in a stack buffer that covers the first few
+	// rings, so a typical lookup allocates nothing.
+	var buf [128]geo.RegionID
 	cellMeters := s.grid.Bounds().WidthMeters() / float64(s.grid.Cols())
 	for radius := cellMeters; ; radius *= 2 {
-		for _, r := range s.grid.RegionsWithin(p2, radius) {
+		for _, r := range s.grid.AppendRegionsWithin(buf[:0], p2, radius) {
 			for _, id := range s.buckets[r] {
 				d := geo.Equirect(p, s.g.Point(id))
 				if d < bestD {

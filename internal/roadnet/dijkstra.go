@@ -1,8 +1,8 @@
 package roadnet
 
 import (
-	"container/heap"
 	"math"
+	"sync"
 )
 
 // pqItem is one entry of the Dijkstra priority queue.
@@ -11,18 +11,65 @@ type pqItem struct {
 	dist float64
 }
 
+// priorityQueue is a binary min-heap on dist. push and pop sift exactly
+// as container/heap's Push and Pop do — the same comparisons in the same
+// order — so items leave in the same sequence, ties included; the
+// typed form just never boxes an item into an interface.
 type priorityQueue []pqItem
 
-func (q priorityQueue) Len() int           { return len(q) }
-func (q priorityQueue) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q priorityQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *priorityQueue) Push(x any)        { *q = append(*q, x.(pqItem)) }
-func (q *priorityQueue) Pop() any {
-	old := *q
-	n := len(old)
-	item := old[n-1]
-	*q = old[:n-1]
-	return item
+// push adds it to the heap (container/heap's up).
+func (q *priorityQueue) push(it pqItem) {
+	h := append(*q, it)
+	j := len(h) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !(it.dist < h[i].dist) {
+			break
+		}
+		h[j] = h[i]
+		j = i
+	}
+	h[j] = it
+	*q = h
+}
+
+// pop removes and returns the minimum item (container/heap's swap of
+// root and last element followed by down over the shortened heap).
+// The heap must be non-empty.
+func (q *priorityQueue) pop() pqItem {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].dist < h[j].dist {
+			j = j2
+		}
+		if !(h[j].dist < last.dist) {
+			break
+		}
+		h[i] = h[j]
+		i = j
+	}
+	h[i] = last
+	*q = h[:n]
+	return top
+}
+
+// queuePool recycles heap backing arrays across searches, so a warm
+// Dijkstra allocates only the slices it returns.
+var queuePool = sync.Pool{New: func() any { return new(priorityQueue) }}
+
+// getQueue returns a pooled heap holding only src at distance d.
+func getQueue(src NodeID, d float64) *priorityQueue {
+	q := queuePool.Get().(*priorityQueue)
+	*q = append((*q)[:0], pqItem{node: src, dist: d})
+	return q
 }
 
 // ShortestPath returns the minimum travel cost from src to dst in seconds
@@ -40,9 +87,10 @@ func (g *Graph) ShortestPath(src, dst NodeID) (float64, bool) {
 		dist[i] = math.Inf(1)
 	}
 	dist[src] = 0
-	pq := priorityQueue{{node: src, dist: 0}}
-	for len(pq) > 0 {
-		item := heap.Pop(&pq).(pqItem)
+	pq := getQueue(src, 0)
+	defer queuePool.Put(pq)
+	for len(*pq) > 0 {
+		item := pq.pop()
 		if item.dist > dist[item.node] {
 			continue // stale entry
 		}
@@ -53,7 +101,7 @@ func (g *Graph) ShortestPath(src, dst NodeID) (float64, bool) {
 			nd := item.dist + e.cost
 			if nd < dist[e.to] {
 				dist[e.to] = nd
-				heap.Push(&pq, pqItem{node: e.to, dist: nd})
+				pq.push(pqItem{node: e.to, dist: nd})
 			}
 		}
 	}
@@ -96,9 +144,10 @@ func (g *Graph) dijkstraFrom(src NodeID, needed []bool, remaining int) (dist []f
 		return dist, 0, horizon
 	}
 	dist[src] = 0
-	pq := priorityQueue{{node: src, dist: 0}}
-	for len(pq) > 0 {
-		item := heap.Pop(&pq).(pqItem)
+	pq := getQueue(src, 0)
+	defer queuePool.Put(pq)
+	for len(*pq) > 0 {
+		item := pq.pop()
 		if item.dist > dist[item.node] {
 			continue // stale entry
 		}
@@ -114,7 +163,7 @@ func (g *Graph) dijkstraFrom(src NodeID, needed []bool, remaining int) (dist []f
 			nd := item.dist + e.cost
 			if nd < dist[e.to] {
 				dist[e.to] = nd
-				heap.Push(&pq, pqItem{node: e.to, dist: nd})
+				pq.push(pqItem{node: e.to, dist: nd})
 			}
 		}
 	}
@@ -137,9 +186,10 @@ func (g *Graph) Route(src, dst NodeID) ([]NodeID, bool) {
 		prev[i] = InvalidNode
 	}
 	dist[src] = 0
-	pq := priorityQueue{{node: src, dist: 0}}
-	for len(pq) > 0 {
-		item := heap.Pop(&pq).(pqItem)
+	pq := getQueue(src, 0)
+	defer queuePool.Put(pq)
+	for len(*pq) > 0 {
+		item := pq.pop()
 		if item.dist > dist[item.node] {
 			continue
 		}
@@ -151,7 +201,7 @@ func (g *Graph) Route(src, dst NodeID) ([]NodeID, bool) {
 			if nd < dist[e.to] {
 				dist[e.to] = nd
 				prev[e.to] = item.node
-				heap.Push(&pq, pqItem{node: e.to, dist: nd})
+				pq.push(pqItem{node: e.to, dist: nd})
 			}
 		}
 	}
